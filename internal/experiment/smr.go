@@ -73,31 +73,25 @@ func E13RepeatedAsyncConsensus(cfg Config) *Table {
 				if !e.Correct().Has(r.ID()) {
 					continue
 				}
-				for slot := uint64(0); ; slot++ {
-					f, ok := r.Frontier()
-					if !ok {
-						break
-					}
-					lo := uint64(0)
-					if f > smr.GossipWindow {
-						lo = f - smr.GossipWindow
-					}
-					for s := lo; s <= f; s++ {
-						if v, ok := r.Get(s); ok {
-							if prev, dup := seen[s]; dup && prev != v {
-								conflict = true
-							}
-							seen[s] = v
-						}
-					}
-					break
-				}
-				if f, ok := r.Frontier(); ok {
-					if firstF || f < minF {
-						minF, firstF = f, false
-					}
-				} else {
+				f, ok := r.Frontier()
+				if !ok {
 					minF, firstF = 0, false
+					continue
+				}
+				lo := uint64(0)
+				if f > smr.GossipWindow {
+					lo = f - smr.GossipWindow
+				}
+				for s := lo; s <= f; s++ {
+					if v, ok := r.Get(s); ok {
+						if prev, dup := seen[s]; dup && prev != v {
+							conflict = true
+						}
+						seen[s] = v
+					}
+				}
+				if firstF || f < minF {
+					minF, firstF = f, false
 				}
 			}
 			var rp rep

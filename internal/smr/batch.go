@@ -242,39 +242,17 @@ func (b *BatchingReplica) learn(batch Batch) {
 // name contributes nothing; an ID whose contents are not yet known
 // stalls the fold and asks a peer, so the stream never reorders.
 func (b *BatchingReplica) expand(ctx async.Context) {
-	// Fold-cursor invariant: next ≤ cur (the fold never outruns the
-	// commit cursor). Corruption breaks it transiently — a corrupted
-	// cursor can sit 2⁴⁰ slots ahead, the wholesale forfeit below then
-	// latches next onto it, and when gossip adoption pulls the cursor
-	// back to the group's live window the fold would be stranded above
-	// it forever: the replica stops expanding, never retires its open
-	// batches, and re-proposes them until peers' dedupe records age out.
-	// Resetting to the commit cursor restores the invariant; the span
-	// skipped is the corrupted one, whose agreement is forfeit anyway.
-	if b.next > b.cur {
-		b.next = b.cur
+	// The fold reads the log window, which is hole-free and never moves
+	// down. Slots that left the window before the fold reached them — a
+	// window jump, or an ID whose contents nobody supplied while it was
+	// retained — are forfeit, the same validity trade the inner log makes
+	// for corrupted decisions: resume at the window's low end.
+	if b.next < b.log.low {
+		b.next = b.log.low
 	}
 	for {
 		id, ok := b.Get(b.next)
 		if !ok {
-			if b.next < b.cur {
-				// Pruned below the gossip window before we expanded it —
-				// only possible after corruption minted a far-future
-				// frontier. Skip; agreement for the corrupted span is
-				// forfeit anyway (same trade as the inner log).
-				if b.cur-b.next > GossipWindow {
-					// Everything below cur−GossipWindow is pruned from the
-					// log (syncCursor prunes before expand ever runs), so
-					// each of those slots would take this branch one by
-					// one. Forfeit them wholesale: a corrupted cursor can
-					// sit 2⁴⁰ slots ahead, and the per-slot walk would
-					// never terminate on a human timescale.
-					b.next = b.cur - GossipWindow
-					continue
-				}
-				b.next++
-				continue
-			}
 			return
 		}
 		if id >= 0 {
@@ -285,14 +263,6 @@ func (b *BatchingReplica) expand(ctx async.Context) {
 		if id >= 0 {
 			cmds, ok := b.known[id]
 			if !ok {
-				if b.cur-b.next > GossipWindow {
-					// Nobody supplied the contents for a full gossip
-					// window of slots: a corruption-minted ID. Forfeit
-					// the slot — the same validity trade the inner log
-					// makes for corrupted decisions.
-					b.next++
-					continue
-				}
 				// Decided but unknown: recover the contents before
 				// advancing. One request per tick keeps this quiet.
 				if ctx != nil && !b.asked {
@@ -312,8 +282,8 @@ func (b *BatchingReplica) expand(ctx async.Context) {
 		}
 		b.next++
 		// Drop dedupe records too old to ever be re-decided (the inner
-		// log prunes below its gossip window, so nothing can resurface
-		// a slot that far back) — keeps memory bounded on long runs.
+		// log retains only its gossip window, so nothing can resurface a
+		// slot that far back) — keeps memory bounded on long runs.
 		if b.next > 2*GossipWindow {
 			floor := b.next - 2*GossipWindow
 			for bid, slot := range b.expanded {

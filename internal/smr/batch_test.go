@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ftss/internal/ctcons"
 	"ftss/internal/detector"
 	"ftss/internal/proc"
 	"ftss/internal/sim/async"
@@ -222,34 +223,136 @@ func TestPipelinedCorruptedStartRecovers(t *testing.T) {
 	}
 }
 
-// TestPipelineHoldsDecisionOrder: a lookahead instance that decides
-// before the commit slot holds its decision out of the log until its
-// turn — the log never acquires a slot above an undecided one.
+// captureCtx is an async.Context that records what a replica sends, so
+// a test can hand one replica's reply to another.
+type captureCtx struct{ sent []any }
+
+func (c *captureCtx) Now() async.Time       { return 0 }
+func (c *captureCtx) Send(_ proc.ID, m any) { c.sent = append(c.sent, m) }
+func (c *captureCtx) Broadcast(m any)       { c.sent = append(c.sent, m) }
+func (c *captureCtx) Rand() *rand.Rand      { return nil }
+
+// TestPipelineHoldsDecisionOrder: a decision for a lookahead slot that
+// arrives before the commit slot decides — reached by the lookahead
+// instance itself, gossiped alone by a peer, or sent as a peer's
+// "already decided" reply to lookahead traffic — is held out of the log
+// until its turn: no hole forms, the cursor stays, and both slots commit
+// in slot order once the commit slot decides.
 func TestPipelineHoldsDecisionOrder(t *testing.T) {
+	check := func(t *testing.T, depth int, deliver func(r *Replica)) {
+		t.Helper()
+		rs, _, _ := build(3, nil, 3)
+		r := rs[0]
+		r.SetPipeline(depth)
+		deliver(r)
+		if _, ok := r.Get(1); ok {
+			t.Fatal("held decision leaked into the log before its slot's turn")
+		}
+		if _, ok := r.Frontier(); ok {
+			t.Fatal("frontier moved with slot 0 undecided")
+		}
+		if r.CurrentSlot() != 0 {
+			t.Fatalf("cursor = %d, want 0 (slot 0 undecided)", r.CurrentSlot())
+		}
+		// Decide the commit slot: both decisions must now commit, in order.
+		r.inst.decided, r.inst.decRound, r.inst.decVal = true, 0, 41
+		r.syncCursor()
+		if v, ok := r.Get(0); !ok || v != 41 {
+			t.Fatalf("slot 0 = %d,%v want 41", v, ok)
+		}
+		if v, ok := r.Get(1); !ok || v != 42 {
+			t.Fatalf("slot 1 = %d,%v want 42 (promoted held decision)", v, ok)
+		}
+		if r.CurrentSlot() != 2 {
+			t.Fatalf("cursor = %d, want 2", r.CurrentSlot())
+		}
+		if f, _ := r.Frontier(); f != 1 {
+			t.Fatalf("frontier = %d, want 1", f)
+		}
+		if j := r.Jumps(); j != 0 {
+			t.Fatalf("jumps = %d, want 0", j)
+		}
+	}
+	t.Run("own lookahead decision", func(t *testing.T) {
+		check(t, 3, func(r *Replica) {
+			if len(r.ahead) != 2 {
+				t.Fatalf("lookahead window = %d instances, want 2", len(r.ahead))
+			}
+			in := r.ahead[0]
+			in.decided, in.decRound, in.decVal = true, 0, 42
+			r.syncCursor()
+		})
+	})
+	t.Run("lone gossip", func(t *testing.T) {
+		check(t, 2, func(r *Replica) {
+			r.OnMessage(nil, 1, LogGossip{Entries: []SlotDecision{{Slot: 1, Val: 42}}})
+		})
+	})
+	t.Run("already-decided reply", func(t *testing.T) {
+		check(t, 2, func(r *Replica) {
+			// A peer that decided slots 0 and 1 answers r's lookahead
+			// traffic for slot 1 with that slot's decision alone.
+			rs, _, _ := build(3, nil, 3)
+			peer := rs[1]
+			peer.OnMessage(nil, 2, LogGossip{Entries: []SlotDecision{
+				{Slot: 0, Val: 41}, {Slot: 1, Val: 42},
+			}})
+			ctx := &captureCtx{}
+			peer.OnMessage(ctx, r.ID(), SlotMsg{Slot: 1, Inner: ctcons.RoundMsg{}})
+			if len(ctx.sent) != 1 {
+				t.Fatalf("peer sent %d messages, want one already-decided reply", len(ctx.sent))
+			}
+			reply, ok := ctx.sent[0].(LogGossip)
+			if !ok || len(reply.Entries) != 1 || reply.Entries[0].Slot != 1 {
+				t.Fatalf("peer reply = %+v, want slot 1's decision", ctx.sent[0])
+			}
+			r.OnMessage(nil, peer.ID(), reply)
+		})
+	})
+}
+
+// TestHolderFollowsJumpedPeer: a held lookahead decision waits for the
+// commit slot, which a peer that jumped past that slot will never help
+// decide. The peer answers the holder's commit-slot traffic with its
+// window instead, and the holder jumps to it rather than wait forever.
+func TestHolderFollowsJumpedPeer(t *testing.T) {
 	rs, _, _ := build(3, nil, 3)
-	r := rs[0]
-	r.SetPipeline(3)
-	if len(r.aux) != 2 {
-		t.Fatalf("lookahead window = %d instances, want 2", len(r.aux))
+	r, peer := rs[0], rs[1]
+	r.SetPipeline(2)
+	minted := LogGossip{Entries: []SlotDecision{{Slot: 1, Round: 7, Val: 42}}}
+	peer.OnMessage(nil, 2, minted) // depth 1: slot 1 is past its lookahead
+	if peer.Jumps() != 1 || peer.CurrentSlot() != 2 {
+		t.Fatalf("peer jumps=%d cursor=%d, want 1 and 2", peer.Jumps(), peer.CurrentSlot())
 	}
-	in := r.aux[r.cur+1]
-	in.decided, in.decRound, in.decVal = true, 0, 42
-	r.syncCursor()
-	if _, ok := r.Get(r.cur + 1); ok {
-		t.Fatal("held decision leaked into the log before its slot's turn")
+	r.OnMessage(nil, peer.ID(), minted) // slot 1 is r's lookahead: held
+	if r.CurrentSlot() != 0 {
+		t.Fatalf("cursor = %d, want 0 (decision held)", r.CurrentSlot())
 	}
-	// Decide the commit slot: both decisions must now commit, in order.
-	r.inst.decided, r.inst.decRound, r.inst.decVal = true, 0, 41
-	r.syncCursor()
-	if v, ok := r.Get(0); !ok || v != 41 {
-		t.Fatalf("slot 0 = %d,%v want 41", v, ok)
+	ctx := &captureCtx{}
+	peer.OnMessage(ctx, r.ID(), SlotMsg{Slot: 0, Inner: ctcons.RoundMsg{}})
+	if len(ctx.sent) != 1 {
+		t.Fatalf("peer sent %d messages, want one window", len(ctx.sent))
+	}
+	w, ok := ctx.sent[0].(LogWindow)
+	if !ok {
+		t.Fatalf("peer reply = %T, want LogWindow", ctx.sent[0])
+	}
+	r.OnMessage(nil, peer.ID(), w)
+	if r.CurrentSlot() != 2 || r.Jumps() != 1 {
+		t.Fatalf("cursor=%d jumps=%d, want 2 and 1 (followed the peer)", r.CurrentSlot(), r.Jumps())
 	}
 	if v, ok := r.Get(1); !ok || v != 42 {
-		t.Fatalf("slot 1 = %d,%v want 42 (promoted held decision)", v, ok)
+		t.Fatalf("slot 1 = %d,%v want 42", v, ok)
 	}
-	if r.CurrentSlot() != 2 {
-		t.Fatalf("cursor = %d, want 2", r.CurrentSlot())
+	if _, ok := r.Get(0); ok {
+		t.Fatal("skipped slot 0 present in the window")
 	}
+}
+
+// gossip delivers decisions to b through the inner log's gossip path,
+// which then folds them.
+func gossip(b *BatchingReplica, ds ...SlotDecision) {
+	b.OnMessage(&captureCtx{}, 0, LogGossip{Entries: ds})
 }
 
 // TestExpandDedupesCollidingID: a corruption-minted decision can collide
@@ -270,11 +373,11 @@ func TestExpandDedupesCollidingID(t *testing.T) {
 	// Slot 0: the live decision. Slot 1: the corruption-minted collision,
 	// one slot later, well inside GossipWindow. Slot 2: a NoOp so the
 	// cursor sits past both.
-	b.log[0] = entry{val: id}
-	b.log[1] = entry{val: id}
-	b.log[2] = entry{val: NoOp}
-	b.cur = 3
-	b.expand(nil)
+	gossip(b, SlotDecision{Slot: 0, Val: id}, SlotDecision{Slot: 1, Val: id},
+		SlotDecision{Slot: 2, Val: NoOp})
+	if b.CurrentSlot() != 3 {
+		t.Fatalf("cursor = %d, want 3", b.CurrentSlot())
+	}
 	if b.next != 3 {
 		t.Fatalf("expanded through slot %d, want 3", b.next)
 	}
@@ -291,40 +394,44 @@ func TestExpandDedupesCollidingID(t *testing.T) {
 
 // TestExpandForfeitsUnknownID: a decided ID nobody can name stalls the
 // fold while it is still inside the gossip window (a peer might yet
-// answer a BatchRequest) and is forfeited once a full window has passed
-// — the direct test of the forfeit branch.
+// answer a BatchRequest) and is forfeited once the window has moved past
+// it — the fold resumes at the window's low end.
 func TestExpandForfeitsUnknownID(t *testing.T) {
 	bs, _ := NewBatchingReplicas(1, quietWeak(1, 1), BatchPolicy{MaxBatch: 2, Seed: 3})
 	b := bs[0]
 	b.Submit(20)
 	b.sealTick() // hold path: not sealed yet (short queue)
 	const ghost = Value(7777)
-	b.log[0] = entry{val: ghost}
+	gossip(b, SlotDecision{Slot: 0, Val: ghost})
 	for s := uint64(1); s <= 4; s++ {
-		b.log[s] = entry{val: NoOp}
+		gossip(b, SlotDecision{Slot: s, Val: NoOp})
 	}
-	b.cur = 5
-	b.expand(nil)
 	if b.next != 0 {
 		t.Fatalf("fold advanced to %d past an in-window unknown ID", b.next)
 	}
 	for s := uint64(5); s <= 8; s++ {
-		b.log[s] = entry{val: NoOp}
+		gossip(b, SlotDecision{Slot: s, Val: NoOp})
 	}
-	b.cur = 9 // cur-next = 9 > GossipWindow: the ghost is now forfeit
-	b.expand(nil)
+	// Nine slots decided: the ghost's slot 0 has left the window.
+	if _, ok := b.Get(0); ok {
+		t.Fatal("slot 0 still retained after GossipWindow later slots")
+	}
 	if b.next != 9 {
 		t.Fatalf("fold stopped at %d, want 9 after forfeiting the ghost", b.next)
 	}
 	if len(b.out) != 0 {
 		t.Fatalf("forfeited slot committed commands: %v", b.out)
 	}
+	if j := b.Jumps(); j != 0 {
+		t.Fatalf("jumps = %d, want 0 (the window only slid)", j)
+	}
 }
 
-// TestExpandJumpsCorruptedFrontier: corruption can mint a frontier up to
-// 2²⁰ slots ahead (and a corrupted cursor up to 2⁴⁰); the fold must
-// forfeit the pruned span wholesale instead of walking it slot by slot,
-// and still expand the live batch decided inside the new window.
+// TestExpandJumpsCorruptedFrontier: corruption can mint a decision up to
+// 2²⁰ slots ahead (and a peer can gossip one from a corrupted cursor up
+// to 2⁴⁰); the window jumps to it, and the fold must skip the span below
+// the new window wholesale instead of walking it slot by slot, and still
+// expand the live batch decided inside the new window.
 func TestExpandJumpsCorruptedFrontier(t *testing.T) {
 	bs, _ := NewBatchingReplicas(1, quietWeak(1, 1), BatchPolicy{MaxBatch: 1, Seed: 3})
 	b := bs[0]
@@ -332,11 +439,15 @@ func TestExpandJumpsCorruptedFrontier(t *testing.T) {
 	b.sealTick()
 	id := b.open[0].ID
 	const far = uint64(1) << 40
-	b.log[far-1] = entry{val: id}
-	b.cur = far
-	b.expand(nil)
+	gossip(b, SlotDecision{Slot: far - 1, Val: id})
+	if j := b.Jumps(); j != 1 {
+		t.Fatalf("jumps = %d, want 1", j)
+	}
+	if b.CurrentSlot() != far {
+		t.Fatalf("cursor = %d, want %d", b.CurrentSlot(), far)
+	}
 	if b.next != far {
-		t.Fatalf("fold at %d, want %d (wholesale forfeit of the pruned span)", b.next, far)
+		t.Fatalf("fold at %d, want %d (wholesale skip of the jumped span)", b.next, far)
 	}
 	if len(b.out) != 1 || b.out[0] != 30 {
 		t.Fatalf("committed stream = %v, want [30]", b.out)

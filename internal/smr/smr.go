@@ -15,10 +15,12 @@
 //     validity sacrificed for slots minted by the corruption (exactly the
 //     trade §3 makes for single-shot decisions).
 //
-//   - The slot cursor is DERIVED state: a replica works on the slot after
-//     the largest it has a decision for. A corrupted cursor cannot strand
-//     a replica because the cursor is recomputed from the lattice on
-//     every step.
+//   - The slot cursor is DERIVED state: a replica works on the slot one
+//     past its decided frontier. The retained log is a hole-free window
+//     of consecutive decided slots, so the frontier is the top of that
+//     window and every slot below it is decided. A corrupted cursor
+//     cannot strand a replica because the cursor is recomputed from the
+//     window on every step.
 //
 //   - Slot instances are the ctcons state machine (re-send, round
 //     adoption, sanitization) with every message wrapped in its slot
@@ -27,11 +29,12 @@
 //     the current phase".
 //
 // The retained log IS the gossip window: every replica keeps and
-// re-announces its most recent GossipWindow decided slots and prunes
-// older ones. Everything retained is therefore continuously reconciled by
-// the lattice gossip — a corrupted entry that disagrees with a peer's is
-// overwritten by the join within one round-trip, and no stale conflict
-// can hide below the window. Applications that need the full log add
+// re-announces its most recent GossipWindow decided slots, in a ring
+// indexed by slot, and older ones fall off its low end. Everything
+// retained is therefore continuously reconciled by the lattice gossip —
+// a corrupted entry that disagrees with a peer's is overwritten by the
+// join within one round-trip, and no stale conflict can hide below the
+// window. Applications that need the full log add
 // snapshotting/state transfer on top (out of scope); the correctness
 // predicate is suffix-shaped, like everything else in the paper:
 // eventually, every retained slot is identical at all correct replicas
@@ -83,11 +86,65 @@ type LogGossip struct {
 	Entries []SlotDecision
 }
 
+// LogWindow answers a SlotMsg for a slot below the responder's window — a
+// slot it skipped in a window jump, or one that fell off its ring. The
+// responder can never supply that slot, so a requester still working
+// below the window jumps to it rather than wait for the slot to decide
+// (with the group's majority past it, it never would).
+type LogWindow struct {
+	Entries []SlotDecision
+}
+
 // entry is a log record: the decision plus the round that minted it (for
 // the per-slot lattice).
 type entry struct {
 	round uint64
 	val   Value
+}
+
+// beats is the per-slot lattice order: higher round wins, then higher
+// value.
+func (e entry) beats(o entry) bool {
+	return e.round > o.round || (e.round == o.round && e.val > o.val)
+}
+
+// window is the retained log: the n consecutive decided slots starting
+// at low, in a ring indexed by slot. Slots enter only at the top (push)
+// or by restarting the ring (restart), so the span holds no holes by
+// construction and its top is the frontier — stored, never scanned.
+type window struct {
+	ring [GossipWindow]entry
+	low  uint64
+	n    uint64
+}
+
+// top is the slot the window grows at: one past the frontier (low when
+// the window is empty).
+func (w *window) top() uint64 { return w.low + w.n }
+
+// at returns slot s's retained entry, or nil when s is not retained.
+func (w *window) at(s uint64) *entry {
+	if s < w.low || s >= w.top() {
+		return nil
+	}
+	return &w.ring[s%GossipWindow]
+}
+
+// push appends the decision for slot top(), evicting the oldest slot
+// once the ring is full.
+func (w *window) push(e entry) {
+	w.ring[w.top()%GossipWindow] = e
+	if w.n < GossipWindow {
+		w.n++
+	} else {
+		w.low++
+	}
+}
+
+// restart empties the window and reopens it at slot s.
+func (w *window) restart(s uint64, e entry) {
+	w.low, w.n = s, 1
+	w.ring[s%GossipWindow] = e
 }
 
 // instance is the per-slot consensus state (a slim ctcons round machine;
@@ -103,9 +160,9 @@ type instance struct {
 	nacks      proc.Set
 	gotPropose *ctcons.ProposeMsg
 
-	// A pipelined (lookahead) instance that reaches a decision holds it
-	// here until the commit cursor arrives at its slot: decisions enter
-	// the log strictly in slot order, so pipelining never mints holes.
+	// A lookahead instance that reaches a decision — its own or one
+	// adopted from a peer — holds it here until the commit cursor arrives
+	// at its slot: decisions enter the log strictly in slot order.
 	decided  bool
 	decRound uint64
 	decVal   Value
@@ -122,15 +179,15 @@ func newInstance(est Value) *instance {
 
 // Replica is one member of the replicated log.
 type Replica struct {
-	id   proc.ID
-	n    int
-	cmds CommandSource
-	det  *detector.StrongCore
-	log  map[uint64]entry
-	cur  uint64 // slot the active instance is for (derived; see syncCursor)
-	inst *instance
-	pipe int                  // pipeline depth; ≤ 1 means no lookahead
-	aux  map[uint64]*instance // lookahead instances for slots cur+1 .. cur+pipe-1
+	id    proc.ID
+	n     int
+	cmds  CommandSource
+	det   *detector.StrongCore
+	log   window
+	cur   uint64 // slot the active instance is for (derived; see syncCursor)
+	inst  *instance
+	ahead []*instance // lookahead instances: ahead[i] runs slot cur+1+i
+	jumps uint64      // window jumps taken (see adopt)
 }
 
 var _ async.Proc = (*Replica)(nil)
@@ -145,8 +202,6 @@ func NewReplicas(n int, cmds CommandSource, weak detector.WeakDetector) ([]*Repl
 			n:    n,
 			cmds: cmds,
 			det:  detector.NewStrongCore(proc.ID(i), n, weak),
-			log:  make(map[uint64]entry),
-			aux:  make(map[uint64]*instance),
 		}
 		rs[i].syncCursor()
 		aps[i] = rs[i]
@@ -162,25 +217,30 @@ func (r *Replica) CurrentSlot() uint64 { return r.cur }
 
 // Get returns the decided command for a slot.
 func (r *Replica) Get(slot uint64) (Value, bool) {
-	e, ok := r.log[slot]
-	return e.val, ok
+	if e := r.log.at(slot); e != nil {
+		return e.val, true
+	}
+	return 0, false
 }
 
 // Frontier returns the largest decided slot and whether any slot is
-// decided.
+// decided. Every retained slot below it is decided too.
 func (r *Replica) Frontier() (uint64, bool) {
-	var max uint64
-	found := false
-	for s := range r.log {
-		if !found || s > max {
-			max, found = s, true
-		}
+	if r.log.n == 0 {
+		return 0, false
 	}
-	return max, found
+	return r.log.top() - 1, true
 }
 
 // LogLen returns the number of decided slots held.
-func (r *Replica) LogLen() int { return len(r.log) }
+func (r *Replica) LogLen() int { return int(r.log.n) }
+
+// Jumps returns how many window jumps the replica has taken: decisions
+// that arrived too far ahead of its frontier to be held, so the window
+// restarted at them and skipped the slots between. A hole-free group
+// needs none; corruption (a far-future mint, or a replica left a window
+// behind) is what causes them.
+func (r *Replica) Jumps() uint64 { return r.jumps }
 
 // Suspects implements detector.SuspectSource.
 func (r *Replica) Suspects() proc.Set { return r.det.Suspects() }
@@ -191,88 +251,110 @@ func (r *Replica) coord(round uint64) proc.ID { return proc.ID(round % uint64(r.
 
 // SetPipeline sets how many consecutive slots the replica drives
 // concurrently: while slot cur finalizes, the instances for the next d-1
-// slots already run their round agreement. A lookahead decision is held
-// in its instance and committed strictly in slot order, so the log
-// lattice never grows holes, and depth 1 (the default) behaves — message
-// for message — exactly like the unpipelined replica.
+// slots already run their round agreement. A lookahead decision — reached
+// locally or adopted from a peer — is held in its instance and committed
+// strictly in slot order, so the log window never holds a decided slot
+// above an undecided one, and depth 1 (the default) behaves — message for
+// message — exactly like the unpipelined replica.
 func (r *Replica) SetPipeline(d int) {
 	if d < 1 {
 		d = 1
 	}
-	r.pipe = d
+	ahead := make([]*instance, d-1)
+	copy(ahead, r.ahead)
+	r.ahead = ahead
 	r.syncCursor()
 }
 
-func (r *Replica) depth() int {
-	if r.pipe < 1 {
-		return 1
-	}
-	return r.pipe
-}
-
-// syncCursor recomputes the working slot from the log lattice,
-// (re)creates or promotes instances when the slot changed, and commits
-// any held lookahead decisions whose turn has come. The cursor is never
-// trusted as stored state — this is what makes its corruption harmless.
+// syncCursor re-derives the working slot from the log window, commits
+// any held decision whose turn has come, and fills the lookahead. The
+// cursor is never trusted as stored state — this is what makes its
+// corruption harmless.
 func (r *Replica) syncCursor() {
+	if want := r.log.top(); r.cur != want {
+		// A corrupted cursor: the instance it named is discarded.
+		r.cur, r.inst = want, nil
+	}
 	for {
-		want := uint64(0)
-		if f, ok := r.Frontier(); ok {
-			want = f + 1
-		}
-		if r.inst == nil || r.cur != want {
-			if in, ok := r.aux[want]; ok {
-				// Promote the lookahead instance: its in-flight round
-				// work (and possibly its held decision) carries over.
-				delete(r.aux, want)
-				r.inst = in
-			} else {
-				r.inst = newInstance(r.cmds(r.id, want))
-			}
-			r.cur = want
+		if r.inst == nil {
+			r.inst = newInstance(r.cmds(r.id, r.cur))
 		}
 		if !r.inst.decided {
 			break
 		}
 		// Its turn in the commit order: the held decision enters the log
-		// and the cursor re-derives against the new frontier.
+		// and the cursor moves on.
 		r.adopt(SlotDecision{Slot: r.cur, Round: r.inst.decRound, Val: r.inst.decVal})
-		r.inst = nil
 	}
-	// Reconcile the lookahead window [cur+1, cur+depth-1].
-	if d := uint64(r.depth()); d > 1 {
-		for s := range r.aux {
-			if s <= r.cur || s >= r.cur+d {
-				delete(r.aux, s)
-			}
-		}
-		for s := r.cur + 1; s < r.cur+d; s++ {
-			if _, ok := r.aux[s]; ok {
-				continue
-			}
-			if _, done := r.log[s]; done {
-				continue
-			}
-			r.aux[s] = newInstance(r.cmds(r.id, s))
-		}
-	}
-	// Prune below the gossip window: retained ⟺ reconciled.
-	if r.cur > GossipWindow {
-		for s := range r.log {
-			if s < r.cur-GossipWindow {
-				delete(r.log, s)
-			}
+	for i, in := range r.ahead {
+		if in == nil {
+			r.ahead[i] = newInstance(r.cmds(r.id, r.cur+1+uint64(i)))
 		}
 	}
 }
 
-// adopt merges a decision into the log lattice (higher round wins, then
-// higher value).
+// adopt files one decision by the rule that keeps the log hole-free.
+// Relative to the window top t (one past the frontier):
+//
+//   - s < t merges into the per-slot lattice (a slot already fallen off
+//     the window is dropped);
+//   - s = t is appended, and the cursor moves on: the first lookahead
+//     instance, with any decision it holds, becomes the active one
+//     (syncCursor commits held decisions in order);
+//   - t < s ≤ t+depth-1 is held in that slot's lookahead instance,
+//     exactly like a decision the instance reached itself;
+//   - anything further ahead is a window jump.
 func (r *Replica) adopt(d SlotDecision) {
-	e, ok := r.log[d.Slot]
-	if !ok || d.Round > e.round || (d.Round == e.round && d.Val > e.val) {
-		r.log[d.Slot] = entry{round: d.Round, val: d.Val}
+	e := entry{round: d.Round, val: d.Val}
+	t := r.log.top()
+	switch {
+	case d.Slot < t:
+		if old := r.log.at(d.Slot); old != nil && e.beats(*old) {
+			*old = e
+		}
+	case d.Slot == t:
+		r.log.push(e)
+		r.inst = nil
+		if len(r.ahead) > 0 {
+			r.inst = r.ahead[0]
+			copy(r.ahead, r.ahead[1:])
+			r.ahead[len(r.ahead)-1] = nil
+		}
+		r.cur = r.log.top()
+	case d.Slot-t <= uint64(len(r.ahead)):
+		i := d.Slot - t - 1
+		in := r.ahead[i]
+		if in == nil {
+			in = newInstance(r.cmds(r.id, d.Slot))
+			r.ahead[i] = in
+		}
+		if !in.decided || e.beats(entry{round: in.decRound, val: in.decVal}) {
+			in.decided, in.decRound, in.decVal = true, e.round, e.val
+		}
+	default:
+		r.jump(d)
 	}
+}
+
+// jump restarts the window at decision d and rebuilds the lookahead,
+// skipping every slot between the old frontier and d. It is the only way
+// a replica skips slots, and it is counted.
+func (r *Replica) jump(d SlotDecision) {
+	r.log.restart(d.Slot, entry{round: d.Round, val: d.Val})
+	r.jumps++
+	r.inst = nil
+	clear(r.ahead)
+	r.cur = r.log.top()
+}
+
+// retained returns the retained log as decisions, in slot order.
+func (r *Replica) retained() []SlotDecision {
+	entries := make([]SlotDecision, 0, r.log.n)
+	for slot := r.log.low; slot < r.log.top(); slot++ {
+		e := r.log.at(slot)
+		entries = append(entries, SlotDecision{Slot: slot, Round: e.round, Val: e.val})
+	}
+	return entries
 }
 
 // OnTick implements async.Proc.
@@ -280,39 +362,18 @@ func (r *Replica) OnTick(ctx async.Context) {
 	r.det.OnTick(ctx)
 	r.syncCursor()
 
-	// Gossip the most recent decided slots.
-	if f, ok := r.Frontier(); ok {
-		var entries []SlotDecision
-		lo := uint64(0)
-		if f+1 > GossipWindow {
-			lo = f + 1 - GossipWindow
-		}
-		for s := lo; s <= f; s++ {
-			if e, ok := r.log[s]; ok {
-				entries = append(entries, SlotDecision{Slot: s, Round: e.round, Val: e.val})
-			}
-		}
-		if len(entries) > 0 {
-			ctx.Broadcast(LogGossip{Entries: entries})
-		}
+	// Gossip the retained window.
+	if r.log.n > 0 {
+		ctx.Broadcast(LogGossip{Entries: r.retained()})
 	}
 
 	// Drive the pipeline: the commit slot first, then the lookahead slots
-	// in increasing order. Slots are collected up front because a decision
-	// mid-drive promotes a lookahead instance out of aux (it is then
-	// driven again on the next tick, not twice in this one).
+	// in increasing order. Only the commit slot's decision moves the
+	// cursor (a lookahead decision is held), so the lookahead loop sees a
+	// fixed cursor; the instance a commit promoted waits for the next tick.
 	r.driveInstance(ctx, r.cur, r.inst)
-	if len(r.aux) > 0 {
-		slots := make([]uint64, 0, len(r.aux))
-		for s := range r.aux {
-			slots = append(slots, s)
-		}
-		slices.Sort(slots)
-		for _, s := range slots {
-			if in, ok := r.aux[s]; ok {
-				r.driveInstance(ctx, s, in)
-			}
-		}
+	for i, in := range r.ahead {
+		r.driveInstance(ctx, r.cur+1+uint64(i), in)
 	}
 }
 
@@ -384,21 +445,33 @@ func (r *Replica) OnMessage(ctx async.Context, from proc.ID, payload any) {
 			r.adopt(d)
 		}
 		r.syncCursor()
+	case LogWindow:
+		if len(m.Entries) > 0 && m.Entries[0].Slot > r.log.top() {
+			r.jump(m.Entries[0])
+		}
+		for _, d := range m.Entries {
+			r.adopt(d)
+		}
+		r.syncCursor()
 	case SlotMsg:
 		if m.Slot == r.cur {
 			r.onSlotMessage(r.inst, from, m.Inner)
 			return
 		}
-		if in, ok := r.aux[m.Slot]; ok {
-			r.onSlotMessage(in, from, m.Inner)
-			return
+		if m.Slot > r.cur && m.Slot-r.cur <= uint64(len(r.ahead)) {
+			if in := r.ahead[m.Slot-r.cur-1]; in != nil {
+				r.onSlotMessage(in, from, m.Inner)
+				return
+			}
 		}
-		// A slot we've already decided: answer with its decision so
-		// laggards catch up even outside the gossip window.
-		if e, ok := r.log[m.Slot]; ok {
+		// A slot we've already decided: answer with its decision so a
+		// peer still working on it catches up at once.
+		if e := r.log.at(m.Slot); e != nil {
 			ctx.Send(from, LogGossip{Entries: []SlotDecision{
 				{Slot: m.Slot, Round: e.round, Val: e.val},
 			}})
+		} else if m.Slot < r.log.low {
+			ctx.Send(from, LogWindow{Entries: r.retained()})
 		}
 	}
 }
@@ -452,20 +525,20 @@ func (r *Replica) onSlotMessage(in *instance, from proc.ID, inner any) {
 // immediately override — kept here to document that it is derived).
 func (r *Replica) Corrupt(rng *rand.Rand) {
 	r.det.Corrupt(rng)
-	r.cur = uint64(rng.Int63n(MaxCorruptSlot))
-	r.inst = newInstance(Value(rng.Int63n(1 << 20)))
-	r.inst.round = uint64(rng.Int63n(MaxCorruptSlot))
-	r.inst.ts = uint64(rng.Int63n(MaxCorruptSlot))
-	r.inst.proposed = rng.Intn(2) == 0
-	r.inst.propVal = Value(rng.Int63n(1 << 20))
-	// The lookahead window is derived state too: drop it and let
-	// syncCursor rebuild it (a corrupted lookahead instance is
-	// indistinguishable from a fresh one to the protocol, and clearing
-	// keeps the rng stream identical to the unpipelined replica).
-	if len(r.aux) > 0 {
-		r.aux = make(map[uint64]*instance)
-	}
-	// Poison a few log entries, including possibly a far-future slot.
+	cur := uint64(rng.Int63n(MaxCorruptSlot))
+	inst := newInstance(Value(rng.Int63n(1 << 20)))
+	inst.round = uint64(rng.Int63n(MaxCorruptSlot))
+	inst.ts = uint64(rng.Int63n(MaxCorruptSlot))
+	inst.proposed = rng.Intn(2) == 0
+	inst.propVal = Value(rng.Int63n(1 << 20))
+	// The lookahead is derived state too: drop it and let syncCursor
+	// rebuild it (a corrupted lookahead instance is indistinguishable
+	// from a fresh one to the protocol, and clearing keeps the rng stream
+	// identical to the unpipelined replica).
+	clear(r.ahead)
+	// Poison a few log entries, including possibly a far-future slot. A
+	// retained slot is overwritten outright; any other poison is filed by
+	// the adopt rule, so a far-future mint is a window jump.
 	for i := 0; i < 3; i++ {
 		if rng.Intn(2) == 0 {
 			continue
@@ -474,11 +547,19 @@ func (r *Replica) Corrupt(rng *rand.Rand) {
 		if rng.Intn(4) == 0 {
 			slot = uint64(rng.Int63n(1 << 20)) // far-future mint
 		}
-		r.log[slot] = entry{
+		e := entry{
 			round: uint64(rng.Int63n(1 << 20)),
 			val:   Value(rng.Int63n(1 << 20)),
 		}
+		if old := r.log.at(slot); old != nil {
+			*old = e
+		} else {
+			r.adopt(SlotDecision{Slot: slot, Round: e.round, Val: e.val})
+		}
 	}
+	// The poison was filed against the true frontier; the corrupted
+	// cursor and instance land last, for syncCursor to discard.
+	r.cur, r.inst = cur, inst
 }
 
 func pick(ests map[proc.ID]ctcons.EstimateMsg) Value {
@@ -506,5 +587,5 @@ func pick(ests map[proc.ID]ctcons.EstimateMsg) Value {
 
 // String aids debugging.
 func (r *Replica) String() string {
-	return fmt.Sprintf("replica[%v slot=%d round=%d log=%d]", r.id, r.cur, r.inst.round, len(r.log))
+	return fmt.Sprintf("replica[%v slot=%d round=%d log=%d]", r.id, r.cur, r.inst.round, r.log.n)
 }

@@ -17,12 +17,12 @@ import (
 // *supposed* to advance (the log grows forever); what must stabilize is
 // that the replicas advance in lockstep over the hashed window.
 //
-// Corruption breaks it three ways, all observed in tests: a poisoned
-// log window hashes differently, a corrupted cursor drags the frontier
-// far forward and then back down when gossip adoption re-derives it,
-// and a recovering replica can transiently prune slots its peers still
+// Corruption breaks it two ways: a poisoned log window hashes
+// differently, and a window jump (a far-future mint, or a replica
+// following one) leaves a replica without the slots its peers still
 // hash. Each is admissible only inside the stabilization budget that
-// follows the recorded systemic mark.
+// follows the recorded systemic mark. The smr log is hole-free, so with
+// no corruption every up replica holds every hashed slot.
 var WindowAgreement core.Problem = windowAgreement{}
 
 type windowAgreement struct{}

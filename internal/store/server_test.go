@@ -108,6 +108,7 @@ func TestServerCASOverTCP(t *testing.T) {
 	if err := st.Report(&discard{}); err != nil {
 		t.Fatalf("verdicts after serving: %v", err)
 	}
+	requireNoJumps(t, st)
 }
 
 func TestServerConcurrentClients(t *testing.T) {
@@ -158,6 +159,7 @@ func TestServerConcurrentClients(t *testing.T) {
 			t.Fatalf("shard %d left %d ops pending", i, p)
 		}
 	}
+	requireNoJumps(t, st)
 }
 
 func TestServerRejectsNonCASFrames(t *testing.T) {
@@ -180,6 +182,7 @@ func TestServerRejectsNonCASFrames(t *testing.T) {
 	if _, _, err := wire.ReadFrame(conn); err == nil {
 		t.Fatal("server answered a non-CAS frame")
 	}
+	requireNoJumps(t, st)
 }
 
 type discard struct{}
@@ -240,4 +243,5 @@ func TestServerTracePassthrough(t *testing.T) {
 	if linked != 3 {
 		t.Fatalf("server spans linked to the wire context = %d, want 3", linked)
 	}
+	requireNoJumps(t, st)
 }

@@ -22,11 +22,11 @@ var latencyBounds = []uint64{
 	50_000, 100_000, 300_000, 1_000_000, 3_000_000, 10_000_000,
 }
 
-// hashWindow is how many decided slots below the group frontier each
+// hashWindow is how many decided slots up to the group frontier each
 // poll folds into a replica's cell hash. It must stay well inside
-// smr.GossipWindow: replicas prune below cursor−GossipWindow, and
-// benign frontier skew must never make a live replica hash a pruned
-// slot.
+// smr.GossipWindow: a replica retains only its last GossipWindow decided
+// slots, and benign frontier skew must never make a live replica hash a
+// slot that has left its window.
 const hashWindow = 4
 
 // containmentBounds bucket rounds-to-reconverge (Definition 2.4 polls
@@ -123,6 +123,8 @@ type Shard struct {
 	//ftss:guardedby mu
 	marksC *obs.Counter
 	//ftss:guardedby mu
+	jumpsC *obs.Counter
+	//ftss:guardedby mu
 	frontierG *obs.Gauge
 	//ftss:guardedby mu
 	latH *obs.Histogram
@@ -181,7 +183,7 @@ func newShard(idx int, cfg Config, col *obs.Collector) *Shard {
 		okC: reg.Counter("cas_ok"), missC: reg.Counter("cas_mismatch"),
 		retryC: reg.Counter("retries"), invalidC: reg.Counter("invalid"),
 		dupC: reg.Counter("dups"), corruptC: reg.Counter("corruptions"),
-		pollsC: pollsC, marksC: marksC,
+		pollsC: pollsC, marksC: marksC, jumpsC: reg.Counter("jumps"),
 		frontierG: reg.Gauge("frontier"),
 		latH:      reg.Histogram("latency_us", latencyBounds),
 	}
@@ -327,6 +329,18 @@ func (s *Shard) advanceLocked(until async.Time) {
 		}
 	}
 	s.applyLocked(s.eng.Now())
+	s.countJumpsLocked()
+}
+
+// countJumpsLocked brings the jumps counter up to the replicas' total of
+// smr window jumps. A hole-free group never jumps; in the store only
+// corruption makes one, so a jump with no corruption mark is a bug.
+func (s *Shard) countJumpsLocked() {
+	var n uint64
+	for _, r := range s.reps {
+		n += r.Jumps()
+	}
+	s.jumpsC.Add(n - s.jumpsC.Value())
 }
 
 // applyLocked folds newly committed commands into the CAS state
@@ -410,27 +424,27 @@ func (s *Shard) spanOpLocked(seq int64, now async.Time) {
 // non-regressing frontier.
 func (s *Shard) pollLocked() {
 	w := uint64(0)
-	haveW := false
-	for _, r := range s.reps {
+	up := proc.NewSet()
+	for i, r := range s.reps {
 		f, ok := r.Frontier()
 		if !ok {
 			continue
 		}
-		if !haveW || f < w {
-			w, haveW = f, true
+		if up.Len() == 0 || f < w {
+			w = f
 		}
+		up.Add(proc.ID(i))
 	}
-	if !haveW {
+	if up.Len() == 0 {
 		return // nothing decided anywhere yet: no observation to record
 	}
 	lo := uint64(0)
 	if w+1 > hashWindow {
 		lo = w + 1 - hashWindow
 	}
-	up := proc.NewSet()
 	cells := make(map[proc.ID]chaos.DecisionCell, len(s.reps))
 	for i, r := range s.reps {
-		if _, ok := r.Frontier(); !ok {
+		if !up.Has(proc.ID(i)) {
 			continue
 		}
 		h := uint64(14695981039346656037)
@@ -447,7 +461,6 @@ func (s *Shard) pollLocked() {
 				mix(0)
 			}
 		}
-		up.Add(proc.ID(i))
 		cells[proc.ID(i)] = chaos.DecisionCell{OK: true, Round: w, Val: int64(h)}
 	}
 	s.rec.Observe(up, cells)
@@ -506,9 +519,10 @@ func (s *Shard) reconvergeLocked() {
 // retryLocked resubmits pending ops when the shard has stalled: no op
 // applied for cfg.RetryAfter while some are still pending. That is the
 // forfeit signature — a batch was expanded by its proposer but skipped
-// by reps[0]'s fold over a corrupted span, so its ops will never apply
-// without resubmission. A merely backlogged shard keeps applying and
-// never trips this, so retries don't multiply load under deep queues.
+// by reps[0]'s fold when a window jump carried it past the batch's slot,
+// so its ops will never apply without resubmission. A merely backlogged
+// shard keeps applying and never trips this, so retries don't multiply
+// load under deep queues.
 // Re-deciding an already-applied op is harmless — applyLocked dedupes
 // by sequence number.
 func (s *Shard) retryLocked(now async.Time) {

@@ -34,6 +34,16 @@ func seededOps(seed int64, n, keys int) []Op {
 	return ops
 }
 
+// requireNoJumps asserts that no replica's smr window ever jumped. With
+// no corruption the log is hole-free, so no replica may skip a slot.
+func requireNoJumps(t *testing.T, st *Store) {
+	t.Helper()
+	snap := string(st.MetricsSnapshot())
+	if !strings.Contains(snap, "counter store.all.jumps 0\n") {
+		t.Fatalf("smr window jumps in a run with no corruption:\n%s", snap)
+	}
+}
+
 func TestStoreCASSemantics(t *testing.T) {
 	st := New(Config{Shards: 1, Seed: 3, MaxBatch: 8})
 	sh := st.Shard(0)
@@ -64,6 +74,7 @@ func TestStoreCASSemantics(t *testing.T) {
 	if err := st.Report(&bytes.Buffer{}); err != nil {
 		t.Fatalf("clean run verdicts: %v", err)
 	}
+	requireNoJumps(t, st)
 }
 
 // TestRouterDeterministic: the hash router is a pure function — two
@@ -120,6 +131,9 @@ func TestStoreWorkersByteIdentical(t *testing.T) {
 	}
 	if !strings.Contains(string(rep1), "verdicts 8/8 pass") {
 		t.Fatalf("expected all verdicts to pass:\n%s", rep1)
+	}
+	if !bytes.Contains(snap1, []byte("counter store.all.jumps 0\n")) {
+		t.Fatalf("smr window jumps in a run with no corruption:\n%s", snap1)
 	}
 }
 
@@ -317,4 +331,5 @@ func TestStoreTraceParentLink(t *testing.T) {
 	if linked != 3 {
 		t.Fatalf("spans linked to the client context = %d, want 3", linked)
 	}
+	requireNoJumps(t, st)
 }
