@@ -22,7 +22,7 @@
 // -admin serves the launcher's live telemetry plane: /metrics counts
 // boots/kills and the nodes-up gauge, /healthz lists per-node up/down
 // (503 when a majority is down), /events tails node_boot/node_kill/
-// node_exit lifecycle records.
+// node_exit lifecycle records, /debug/pprof/ serves the profiles.
 //
 // Artifacts land in -dir (default: a fresh temp directory): schedule.txt
 // (the staged plan), node-i.log, node-i.events.jsonl, node-i.chaos.jsonl
@@ -35,8 +35,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
-	_ "net/http/pprof" // registered on the opt-in -pprof listener only
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -75,7 +73,7 @@ type params struct {
 	nodeBin    string
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("ftss-cluster", flag.ContinueOnError)
 	var p params
 	fs.IntVar(&p.n, "n", 4, "cluster size (one OS process per node)")
@@ -88,18 +86,12 @@ func run(args []string) error {
 	fs.DurationVar(&p.poll, "poll", 10*time.Millisecond, "decision-register poll interval")
 	fs.StringVar(&p.dir, "dir", "", "artifact directory (default: fresh temp dir)")
 	fs.StringVar(&p.nodeBin, "node", "", "path to the ftss-node binary (default: beside this binary, then $PATH)")
-	adminAddr := fs.String("admin", "", "serve the admin plane (/metrics, /healthz, /events) on this address")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	tel := cli.Register(fs, cli.Spec{
+		Admin:       "serve the admin plane (/metrics, /healthz, /events, /debug/pprof/) on this address",
+		ServeEvents: true,
+	})
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "ftss-cluster: pprof:", err)
-			}
-		}()
-		fmt.Printf("pprof listening on %s\n", *pprofAddr)
 	}
 	if p.n < 3 {
 		return fmt.Errorf("need n ≥ 3, got %d", p.n)
@@ -135,19 +127,17 @@ func run(args []string) error {
 		return err
 	}
 	defer l.closeLogs()
-	if *adminAddr != "" {
-		tail := admin.NewTail(0)
-		l.sink = obs.NewJSONL(tail)
-		adm, err := admin.Start(*adminAddr, admin.Plane{
-			Metrics: l.reg.Snapshot,
-			Health:  l.status,
-			Tail:    tail,
-		})
-		if err != nil {
-			return err
-		}
-		defer adm.Close()
-		fmt.Printf("admin plane on %s\n", adm.Addr())
+	defer tel.Close(&err)
+	if err := tel.Open(); err != nil {
+		return err
+	}
+	if s := tel.Sink(); s != nil {
+		l.sink = s
+	}
+	if err := tel.Start(os.Stdout, cli.Sources{
+		Plane: admin.Plane{Metrics: l.reg.Snapshot, Health: l.status},
+	}); err != nil {
+		return err
 	}
 	for i := 0; i < p.n; i++ {
 		if err := l.start(proc.ID(i), 0, false); err != nil {

@@ -8,21 +8,20 @@
 // Usage:
 //
 //	ftss-live [-n 5] [-crashes 2] [-corrupt] [-deadline 5s] [-tick 300us] [-seed 1]
-//	          [-metrics FILE] [-events FILE] [-pprof ADDR]
+//	          [-metrics FILE] [-events FILE] [-admin ADDR]
 //
 // -metrics/-events capture the runtime's telemetry (traffic counters,
 // mailbox high-water, supervision events stamped with elapsed µs).
-// -pprof serves net/http/pprof on ADDR (e.g. localhost:6060) for the
-// duration of the run — the live runtime is wall-clock anyway, so the
-// profiler's observer effect costs nothing the model cares about.
+// -admin serves the pprof profiles (/debug/pprof/) on ADDR (e.g.
+// localhost:6060) for the duration of the run — the live runtime is
+// wall-clock anyway, so the profiler's observer effect costs nothing
+// the model cares about. The plane's other endpoints answer 404.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"time"
 
@@ -42,7 +41,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("ftss-live", flag.ContinueOnError)
 	n := fs.Int("n", 5, "number of processes (goroutines)")
 	crashes := fs.Int("crashes", 2, "processes that crash (< n/2)")
@@ -50,22 +49,24 @@ func run(args []string) error {
 	deadline := fs.Duration("deadline", 5*time.Second, "wall-clock budget")
 	tick := fs.Duration("tick", 300*time.Microsecond, "tick interval per process")
 	seed := fs.Int64("seed", 1, "seed for inputs, corruption, and delays")
-	metricsFile := fs.String("metrics", "", "write the telemetry snapshot to this file")
-	eventsFile := fs.String("events", "", "write the structured JSONL event stream to this file")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	tel := cli.Register(fs, cli.Spec{
+		Metrics: "write the telemetry snapshot to this file",
+		Events:  "write the structured JSONL event stream to this file",
+		Admin:   "serve the admin plane (/debug/pprof/) on this address (e.g. localhost:6060)",
+	})
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "ftss-live: pprof:", err)
-			}
-		}()
-		fmt.Printf("pprof listening on %s\n", *pprofAddr)
-	}
 	if *crashes >= (*n+1)/2 {
 		return fmt.Errorf("need crashes < n/2, got n=%d crashes=%d", *n, *crashes)
+	}
+	defer tel.Close(&err)
+	if err := tel.Open(); err != nil {
+		return err
+	}
+	reg := obs.NewRegistry()
+	if err := tel.Start(os.Stdout, cli.Sources{Metrics: reg.Snapshot}); err != nil {
+		return err
 	}
 	fmt.Printf("ftss-live: effective seed %d\n", *seed)
 
@@ -97,42 +98,18 @@ func run(args []string) error {
 		}
 	}
 
-	reg := obs.NewRegistry()
-	var sink obs.Sink
-	if *eventsFile != "" {
-		ef, err := os.Create(*eventsFile)
-		if err != nil {
-			return err
-		}
-		defer ef.Close()
-		sink = obs.NewJSONL(ef)
-	}
 	rt := live.MustNew(aps, live.Config{
 		Seed:       *seed,
 		TickEvery:  *tick,
 		MinDelay:   100 * time.Microsecond,
 		MaxDelay:   500 * time.Microsecond,
 		CrashAfter: crashAfter,
-		Obs:        live.NewInstruments(reg, "live", sink),
+		Obs:        live.NewInstruments(reg, "live", tel.Sink()),
 	})
 	fmt.Printf("live cluster: %d goroutines, inputs %v, crash schedule %v, corrupted=%v\n",
 		*n, inputs, crashAfter, *corrupt)
 	rt.Start()
 	defer rt.Stop()
-	writeMetrics := func() error {
-		if *metricsFile == "" {
-			return nil
-		}
-		mf, err := os.Create(*metricsFile)
-		if err != nil {
-			return err
-		}
-		if _, err := reg.WriteTo(mf); err != nil {
-			mf.Close()
-			return err
-		}
-		return mf.Close()
-	}
 
 	stop := cli.Shutdown("ftss-live")
 	start := time.Now()
@@ -144,9 +121,6 @@ func run(args []string) error {
 			// Graceful: the snapshot and event stream still land on disk.
 			fmt.Printf("interrupted after %v\n", time.Since(start).Round(time.Millisecond))
 			fmt.Println(rt.Health())
-			if err := writeMetrics(); err != nil {
-				return err
-			}
 			return fmt.Errorf("interrupted before stable agreement")
 		case <-time.After(5 * time.Millisecond):
 		}
@@ -184,15 +158,12 @@ func run(args []string) error {
 					vals[0], time.Since(start).Round(time.Millisecond))
 				fmt.Printf("crashed along the way: %v\n", rt.Crashed())
 				fmt.Println(rt.Health())
-				return writeMetrics()
+				return nil
 			}
 		} else {
 			stableSince = time.Time{}
 		}
 		lastVals = vals
-	}
-	if err := writeMetrics(); err != nil {
-		return err
 	}
 	return fmt.Errorf("no stable agreement within %v", *deadline)
 }

@@ -19,13 +19,15 @@
 //
 //	ftss-loadgen -addr 127.0.0.1:7400 [-clients 4] [-ops 200]
 //	             [-keys 64] [-skew 0] [-seed 1]
-//	             [-metrics FILE] [-trace FILE] [-pprof ADDR]
+//	             [-metrics FILE] [-trace FILE] [-admin ADDR]
 //
 // -trace gives every op a deterministic span ID derived from (-seed,
 // client, op index), carries it to the server in the traced wire frame
 // (a store run with -trace links its server-side spans under it), and
 // writes one client.rtt span per op as sorted JSONL — feed it to
-// ftss-tracev together with the server's trace file.
+// ftss-tracev together with the server's trace file. -admin serves the
+// pprof profiles (/debug/pprof/); the plane's other endpoints answer
+// 404.
 //
 //ftss:conc one goroutine per client; results merge through atomic instruments
 package main
@@ -36,12 +38,11 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"net/http"
-	_ "net/http/pprof" // registered on the opt-in -pprof listener only
 	"os"
 	"sync"
 	"time"
 
+	"ftss/internal/cli"
 	"ftss/internal/obs"
 	"ftss/internal/wire"
 )
@@ -61,7 +62,7 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer) error {
+func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("ftss-loadgen", flag.ContinueOnError)
 	addr := fs.String("addr", "", "ftss-store server address (required)")
 	clients := fs.Int("clients", 4, "concurrent closed-loop connections")
@@ -69,9 +70,11 @@ func run(args []string, out io.Writer) error {
 	keys := fs.Int("keys", 64, "distinct keys in the workload")
 	skew := fs.Float64("skew", 0, "Zipf skew exponent; <=1 means uniform keys")
 	seed := fs.Int64("seed", 1, "workload seed; key streams derive from (seed, client)")
-	metricsFile := fs.String("metrics", "", "write the metrics snapshot to this file")
-	traceFile := fs.String("trace", "", "trace every op and write client.rtt span JSONL to this file")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6061)")
+	tel := cli.Register(fs, cli.Spec{
+		Metrics: "write the metrics snapshot to this file",
+		Trace:   "trace every op and write client.rtt span JSONL to this file",
+		Admin:   "serve the admin plane (/debug/pprof/) on this address (e.g. localhost:6061)",
+	})
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -81,13 +84,9 @@ func run(args []string, out io.Writer) error {
 	if *clients <= 0 || *ops <= 0 || *keys <= 0 {
 		return fmt.Errorf("-clients, -ops, and -keys must be positive")
 	}
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "ftss-loadgen: pprof:", err)
-			}
-		}()
-		fmt.Fprintf(out, "pprof listening on %s\n", *pprofAddr)
+	defer tel.Close(&err)
+	if err := tel.Open(); err != nil {
+		return err
 	}
 
 	reg := obs.NewRegistry()
@@ -96,9 +95,14 @@ func run(args []string, out io.Writer) error {
 	missC := reg.Counter("loadgen.cas_mismatch")
 	errsC := reg.Counter("loadgen.errors")
 	latH := reg.Histogram("loadgen.latency_us", wallBounds)
+	src := cli.Sources{Metrics: reg.Snapshot}
 	var col *obs.Collector
-	if *traceFile != "" {
+	if tel.TraceFile != "" {
 		col = obs.NewCollector()
+		src.Trace = col.WriteJSONL
+	}
+	if err := tel.Start(out, src); err != nil {
+		return err
 	}
 
 	start := time.Now()
@@ -116,25 +120,9 @@ func run(args []string, out io.Writer) error {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	if *metricsFile != "" {
-		if err := os.WriteFile(*metricsFile, reg.Snapshot(), 0o644); err != nil {
-			return err
-		}
-	}
 	if col != nil {
-		tf, err := os.Create(*traceFile)
-		if err != nil {
-			return err
-		}
-		err = col.WriteJSONL(tf)
-		if cerr := tf.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
 		fmt.Fprintf(out, "loadgen: trace %d spans, %d collisions -> %s\n",
-			col.Len(), col.Collisions(), *traceFile)
+			col.Len(), col.Collisions(), tel.TraceFile)
 	}
 	fmt.Fprintf(out, "loadgen: clients=%d keys=%d skew=%g ops=%d cas_ok=%d cas_mismatch=%d errors=%d\n",
 		*clients, *keys, *skew, opsC.Value(), okC.Value(), missC.Value(), errsC.Value())

@@ -21,7 +21,7 @@
 // -admin serves the live telemetry plane while the node runs: /metrics
 // is the registry snapshot, /healthz the runtime health plus decision
 // state (503 until this node's process decides), /events a tail of the
-// -events stream.
+// -events stream, /debug/pprof/ the profiles — one listener for all.
 //
 // -events and -chaos-events are opened in append mode so a restarted
 // incarnation extends the same files. The -chaos-events stream is a pure
@@ -35,8 +35,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof" // registered on the opt-in -pprof listener only
 	"os"
 	"strconv"
 	"strings"
@@ -55,7 +53,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("ftss-node", flag.ContinueOnError)
 	id := fs.Int("id", 0, "this node's process ID, in 0..n-1")
 	n := fs.Int("n", 4, "cluster size")
@@ -70,21 +68,15 @@ func run(args []string) error {
 	poll := fs.Duration("poll", 10*time.Millisecond, "decision-register poll interval (cluster-wide grid)")
 	since := fs.Duration("since", 0, "schedule offset this incarnation starts at (restarts)")
 	corrupt := fs.Bool("corrupt", false, "corrupt the process state before running (restart from garbage)")
-	metricsFile := fs.String("metrics", "", "write the final telemetry snapshot to this file")
-	eventsFile := fs.String("events", "", "append the JSONL event stream (node_poll records) to this file")
 	chaosFile := fs.String("chaos-events", "", "append the deterministic chaos schedule stream to this file")
-	adminAddr := fs.String("admin", "", "serve the admin plane (/metrics, /healthz, /events) on this address")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	adminAddr := fs.String("admin", "", "serve the admin plane (/metrics, /healthz, /events, /debug/pprof/) on this address")
+	tel := cli.Register(fs, cli.Spec{
+		Metrics:      "write the final telemetry snapshot to this file",
+		Events:       "append the JSONL event stream (node_poll records) to this file",
+		AppendEvents: true,
+	})
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "ftss-node: pprof:", err)
-			}
-		}()
-		fmt.Printf("pprof listening on %s\n", *pprofAddr)
 	}
 
 	peerMap, err := parsePeers(*peers, proc.ID(*id), *n)
@@ -97,38 +89,27 @@ func run(args []string) error {
 		Episodes: *episodes, EpisodeLen: *episodeLen, QuietLen: *quietLen,
 		Tick: *tick, MailboxCap: *mailboxCap, PollEvery: *poll,
 		Since: *since, Corrupt: *corrupt,
-		AdminAddr: *adminAddr,
+		AdminAddr: *adminAddr, Metrics: obs.NewRegistry(),
 	}
 	// Event streams append so a restarted incarnation extends the files
-	// its predecessor left behind.
-	for _, f := range []struct {
-		path string
-		sink *obs.Sink
-	}{
-		{*eventsFile, &cfg.Events},
-		{*chaosFile, &cfg.ChaosEvents},
-	} {
-		if f.path == "" {
-			continue
-		}
-		w, err := os.OpenFile(f.path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	// its predecessor left behind; the latest incarnation's -metrics
+	// snapshot is the one that matters.
+	defer tel.Close(&err)
+	if err := tel.Open(); err != nil {
+		return err
+	}
+	cfg.Events = tel.Sink()
+	if *chaosFile != "" {
+		w, err := os.OpenFile(*chaosFile, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 		if err != nil {
 			return err
 		}
 		defer w.Close()
-		*f.sink = obs.NewJSONL(w)
+		cfg.ChaosEvents = obs.NewJSONL(w)
 	}
-	if *metricsFile != "" {
-		// The snapshot is small and written once at exit; the latest
-		// incarnation's snapshot is the one that matters.
-		mf, err := os.Create(*metricsFile)
-		if err != nil {
-			return err
-		}
-		defer mf.Close()
-		cfg.Metrics = mf
+	if err := tel.Start(os.Stdout, cli.Sources{Metrics: cfg.Metrics.Snapshot}); err != nil {
+		return err
 	}
-
 	return cluster.RunNode(cfg, cli.Shutdown("ftss-node"), os.Stdout)
 }
 

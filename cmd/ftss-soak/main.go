@@ -27,7 +27,7 @@
 //	ftss-soak [-seed 1] [-n 5] [-episodes 5] [-episode-len 150ms]
 //	          [-quiet-len 350ms] [-tick 300us] [-cap 1024]
 //	          [-runs 1] [-workers 0]
-//	          [-metrics FILE] [-metrics-interval 0] [-events FILE] [-pprof ADDR]
+//	          [-metrics FILE] [-metrics-interval 0] [-events FILE] [-admin ADDR]
 //
 // -metrics aggregates both clusters' instruments (cons.* and smr.*
 // prefixes) plus the recorder's soak.* counters across every run;
@@ -35,7 +35,8 @@
 // nemesis events stamped with elapsed µs, recorder polls/marks stamped
 // with poll counts, and the final Definition 2.4 segment/verdict events.
 // With -runs R each run's events are buffered and concatenated in seed
-// order, matching the report. -pprof serves net/http/pprof on ADDR.
+// order, matching the report. -admin serves the pprof profiles
+// (/debug/pprof/) on ADDR; the plane's other endpoints answer 404.
 package main
 
 import (
@@ -45,8 +46,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"runtime"
 	"sync"
@@ -102,7 +101,7 @@ type soakParams struct {
 	stop       <-chan struct{}
 }
 
-func run(args []string, w io.Writer) error {
+func run(args []string, w io.Writer) (err error) {
 	fs := flag.NewFlagSet("ftss-soak", flag.ContinueOnError)
 	seed := fs.Int64("seed", 1, "seed for the fault schedule, inputs, and delays")
 	n := fs.Int("n", 5, "processes per cluster")
@@ -114,27 +113,21 @@ func run(args []string, w io.Writer) error {
 	runs := fs.Int("runs", 1, "independent soak runs on seeds seed..seed+runs-1")
 	workers := fs.Int("workers", 0, "runs executed concurrently; 0 = GOMAXPROCS. "+
 		"Output is merged in seed order, byte-identical to a sequential run")
-	metricsFile := fs.String("metrics", "", "write the aggregated telemetry snapshot to this file")
-	metricsInterval := fs.Duration("metrics-interval", 0,
-		"stream periodic metric delta blocks to the -metrics file + \".deltas\" (0 = off)")
-	eventsFile := fs.String("events", "", "write the structured JSONL event stream to this file")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	tel := cli.Register(fs, cli.Spec{
+		Metrics:         "write the aggregated telemetry snapshot to this file",
+		MetricsInterval: "stream periodic metric delta blocks to the -metrics file + \".deltas\" (0 = off)",
+		Events:          "write the structured JSONL event stream to this file",
+		Admin:           "serve the admin plane (/debug/pprof/) on this address (e.g. localhost:6060)",
+	})
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *metricsInterval > 0 && *metricsFile == "" {
-		return fmt.Errorf("-metrics-interval needs -metrics FILE for the delta stream path")
-	}
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "ftss-soak: pprof:", err)
-			}
-		}()
-		fmt.Fprintf(w, "pprof listening on %s\n", *pprofAddr)
-	}
 	if *n < 3 {
 		return fmt.Errorf("need n ≥ 3 for a crash-tolerant majority, got %d", *n)
+	}
+	defer tel.Close(&err)
+	if err := tel.Open(); err != nil {
+		return err
 	}
 	p := soakParams{
 		seed: *seed, n: *n, episodes: *episodes,
@@ -142,83 +135,24 @@ func run(args []string, w io.Writer) error {
 		tick: *tick, cap: *cap,
 		stop: cli.Shutdown("ftss-soak"),
 	}
-	if *metricsFile != "" || *eventsFile != "" {
+	if tel.MetricsFile != "" || tel.EventsFile != "" {
 		p.reg = obs.NewRegistry()
 	}
-	var eventsW io.Writer
-	if *eventsFile != "" {
-		ef, err := os.Create(*eventsFile)
-		if err != nil {
-			return err
-		}
-		defer ef.Close()
-		eventsW = ef
+	// The -metrics snapshot is written even when checks fail: a failing
+	// soak's telemetry is exactly what CI wants to keep.
+	if err := tel.Start(w, cli.Sources{Metrics: p.reg.Snapshot}); err != nil {
+		return err
 	}
-
-	// Periodic delta stream: "# delta" blocks against the shared registry
-	// while the soak runs, a final block once it stops. SnapshotSum over
-	// the blocks equals the exit snapshot, which the tests pin.
-	stopDeltas := func() error { return nil }
-	if *metricsInterval > 0 {
-		df, err := os.Create(*metricsFile + ".deltas")
-		if err != nil {
-			return err
-		}
-		dw := obs.NewDeltaWriter(df, p.reg.Snapshot)
-		done := make(chan struct{})
-		ticker := time.NewTicker(*metricsInterval)
-		go func() {
-			for {
-				select {
-				case <-ticker.C:
-					dw.Tick()
-				case <-done:
-					return
-				}
-			}
-		}()
-		stopDeltas = func() error {
-			ticker.Stop()
-			close(done)
-			err := dw.Tick()
-			if cerr := df.Close(); err == nil {
-				err = cerr
-			}
-			return err
+	if *runs > 1 {
+		return soakMany(p, *runs, *workers, w, tel.Events())
+	}
+	if p.reg != nil {
+		p.sink = obs.Sink(obs.Null{})
+		if s := tel.Sink(); s != nil {
+			p.sink = s
 		}
 	}
-
-	var runErr error
-	if *runs <= 1 {
-		if p.reg != nil {
-			p.sink = obs.Sink(obs.Null{})
-			if eventsW != nil {
-				p.sink = obs.NewJSONL(eventsW)
-			}
-		}
-		runErr = soak(p, w)
-	} else {
-		runErr = soakMany(p, *runs, *workers, w, eventsW)
-	}
-
-	if err := stopDeltas(); err != nil && runErr == nil {
-		runErr = err
-	}
-	// The snapshot is written even when checks failed: a failing soak's
-	// telemetry is exactly what CI wants to keep.
-	if *metricsFile != "" {
-		mf, err := os.Create(*metricsFile)
-		if err == nil {
-			_, err = p.reg.WriteTo(mf)
-			if cerr := mf.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil && runErr == nil {
-			runErr = err
-		}
-	}
-	return runErr
+	return soak(p, w)
 }
 
 // soakMany stages `runs` independent soaks on consecutive seeds across a

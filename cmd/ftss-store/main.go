@@ -19,13 +19,14 @@
 //	ftss-store [-listen 127.0.0.1:7400] [-shards 16] [-replicas 3]
 //	           [-seed 1] [-max-batch 64] [-pipeline 2]
 //	           [-corrupt-every 0] [-metrics FILE] [-metrics-interval 0]
-//	           [-trace FILE] [-events FILE] [-admin ADDR] [-pprof ADDR]
+//	           [-trace FILE] [-events FILE] [-admin ADDR]
 //
 // -trace enables causal op tracing (deterministic span IDs, one
 // queue/slot/apply span triple per op, containment spans per
 // corruption) and writes the sorted span JSONL to FILE on exit —
 // ftss-tracev's input. -admin serves the live telemetry plane
-// (/metrics, /healthz, /events) while the store runs; -events appends
+// (/metrics, /healthz, /events) and the pprof profiles
+// (/debug/pprof/) on one listener while the store runs; -events appends
 // shard lifecycle events to FILE and feeds the same stream to the
 // admin tail. -metrics-interval streams "# delta" blocks to
 // FILE.deltas (FILE from -metrics); the blocks sum to the exit
@@ -39,15 +40,10 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
-	_ "net/http/pprof" // registered on the opt-in -pprof listener only
 	"os"
-	"sync"
-	"time"
 
 	"ftss/internal/admin"
 	"ftss/internal/cli"
-	"ftss/internal/obs"
 	"ftss/internal/sim/async"
 	"ftss/internal/store"
 )
@@ -59,7 +55,7 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer, stop <-chan struct{}) error {
+func run(args []string, out io.Writer, stop <-chan struct{}) (err error) {
 	fs := flag.NewFlagSet("ftss-store", flag.ContinueOnError)
 	listen := fs.String("listen", "127.0.0.1:7400", "TCP listen address")
 	shards := fs.Int("shards", 16, "independent consensus groups")
@@ -69,105 +65,38 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	pipeline := fs.Int("pipeline", 2, "smr pipeline depth")
 	corruptEvery := fs.Duration("corrupt-every", 0,
 		"sim interval between per-shard corruption strikes (0 = off)")
-	metricsFile := fs.String("metrics", "", "write the merged metrics snapshot to this file on exit")
-	metricsInterval := fs.Duration("metrics-interval", 0,
-		"stream periodic metric delta blocks to the -metrics file + \".deltas\" (0 = off)")
-	traceFile := fs.String("trace", "", "enable causal op tracing and write span JSONL to this file on exit")
-	eventsFile := fs.String("events", "", "append shard lifecycle events (JSONL) to this file")
-	adminAddr := fs.String("admin", "", "serve the admin plane (/metrics, /healthz, /events) on this address")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	tel := cli.Register(fs, cli.Spec{
+		Metrics:         "write the merged metrics snapshot to this file on exit",
+		MetricsInterval: "stream periodic metric delta blocks to the -metrics file + \".deltas\" (0 = off)",
+		Trace:           "enable causal op tracing and write span JSONL to this file on exit",
+		Events:          "append shard lifecycle events (JSONL) to this file",
+		Admin:           "serve the admin plane (/metrics, /healthz, /events, /debug/pprof/) on this address",
+		AppendEvents:    true,
+		ServeEvents:     true,
+	})
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *metricsInterval > 0 && *metricsFile == "" {
-		return fmt.Errorf("-metrics-interval needs -metrics FILE for the delta stream path")
+	defer tel.Close(&err)
+	if err := tel.Open(); err != nil {
+		return err
 	}
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "ftss-store: pprof:", err)
-			}
-		}()
-		fmt.Fprintf(out, "pprof listening on %s\n", *pprofAddr)
-	}
-
-	// The event stream fans out to the -events file and the admin tail;
-	// either alone still gets the full stream.
-	var tail *admin.Tail
-	if *adminAddr != "" {
-		tail = admin.NewTail(0)
-	}
-	var eventSinks []io.Writer
-	if tail != nil {
-		eventSinks = append(eventSinks, tail)
-	}
-	if *eventsFile != "" {
-		ef, err := os.OpenFile(*eventsFile, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			return err
-		}
-		defer ef.Close()
-		eventSinks = append(eventSinks, ef)
-	}
-	cfg := store.Config{
+	st := store.New(store.Config{
 		Shards: *shards, Replicas: *replicas, Seed: *seed,
 		MaxBatch: *maxBatch, Pipeline: *pipeline,
 		CorruptEvery: async.Time(corruptEvery.Microseconds()),
-		Trace:        *traceFile != "",
-	}
-	if len(eventSinks) > 0 {
-		cfg.Events = obs.NewJSONL(io.MultiWriter(eventSinks...))
-	}
-	st := store.New(cfg)
-
-	if *adminAddr != "" {
-		adm, err := admin.Start(*adminAddr, admin.Plane{
+		Trace:        tel.TraceFile != "",
+		Events:       tel.Sink(),
+	})
+	if err := tel.Start(out, cli.Sources{
+		Metrics: st.MetricsSnapshot,
+		Trace:   st.WriteTrace,
+		Plane: admin.Plane{
 			Metrics: st.MetricsSnapshot,
 			Health:  func() (bool, []byte) { return healthz(st) },
-			Tail:    tail,
-		})
-		if err != nil {
-			return err
-		}
-		defer adm.Close()
-		fmt.Fprintf(out, "admin plane on %s\n", adm.Addr())
-	}
-
-	stopDeltas := func() error { return nil }
-	if *metricsInterval > 0 {
-		df, err := os.Create(*metricsFile + ".deltas")
-		if err != nil {
-			return err
-		}
-		dw := obs.NewDeltaWriter(df, st.MetricsSnapshot)
-		var mu sync.Mutex
-		done := make(chan struct{})
-		ticker := time.NewTicker(*metricsInterval)
-		go func() {
-			for {
-				select {
-				case <-ticker.C:
-					mu.Lock()
-					dw.Tick()
-					mu.Unlock()
-				case <-done:
-					return
-				}
-			}
-		}()
-		stopDeltas = func() error {
-			ticker.Stop()
-			close(done)
-			mu.Lock()
-			defer mu.Unlock()
-			// The final delta closes the stream: the block sum now equals
-			// the exit snapshot exactly.
-			err := dw.Tick()
-			if cerr := df.Close(); err == nil {
-				err = cerr
-			}
-			return err
-		}
+		},
+	}); err != nil {
+		return err
 	}
 
 	ln, err := net.Listen("tcp", *listen)
@@ -178,29 +107,9 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 		ln.Addr(), *shards, *replicas, *seed)
 
 	serveErr := store.NewServer(st).Serve(ln, stop)
-
-	if err := stopDeltas(); err != nil && serveErr == nil {
-		serveErr = err
-	}
-	if *metricsFile != "" {
-		if err := os.WriteFile(*metricsFile, st.MetricsSnapshot(), 0o644); err != nil {
-			return err
-		}
-	}
-	if *traceFile != "" {
-		tf, err := os.Create(*traceFile)
-		if err != nil {
-			return err
-		}
-		err = st.WriteTrace(tf)
-		if cerr := tf.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
+	if tel.TraceFile != "" {
 		fmt.Fprintf(out, "trace: %d spans, %d collisions -> %s\n",
-			len(st.TraceSpans()), st.TraceCollisions(), *traceFile)
+			len(st.TraceSpans()), st.TraceCollisions(), tel.TraceFile)
 	}
 	if err := st.Report(out); err != nil {
 		return err

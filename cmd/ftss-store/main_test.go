@@ -270,3 +270,33 @@ func httpGet(t *testing.T, url string) (int, []byte) {
 	}
 	return resp.StatusCode, body
 }
+
+// TestListenFailureStopsDeltaStream: when the listener cannot bind
+// after the delta stream has started, run still stops the ticker and
+// closes FILE.deltas on its way out, so the file stops growing.
+func TestListenFailureStopsDeltaStream(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	metrics := filepath.Join(t.TempDir(), "metrics.txt")
+	if err := run([]string{
+		"-listen", ln.Addr().String(), "-shards", "1",
+		"-metrics", metrics, "-metrics-interval", "5ms",
+	}, &bytes.Buffer{}, nil); err == nil {
+		t.Fatal("run listened on an already-bound address")
+	}
+	before, err := os.ReadFile(metrics + ".deltas")
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond)
+	after, err := os.ReadFile(metrics + ".deltas")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("FILE.deltas grew after run returned: %d -> %d bytes", len(before), len(after))
+	}
+}

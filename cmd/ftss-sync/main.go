@@ -18,6 +18,7 @@ import (
 	"strconv"
 	"strings"
 
+	"ftss/internal/cli"
 	"ftss/internal/core"
 	"ftss/internal/failure"
 	"ftss/internal/fullinfo"
@@ -36,7 +37,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("ftss-sync", flag.ContinueOnError)
 	n := fs.Int("n", 5, "number of processes")
 	f := fs.Int("f", 2, "designated faulty bound (f < n)")
@@ -50,8 +51,10 @@ func run(args []string) error {
 	showTrace := fs.Bool("trace", false, "print the full timeline, segment structure and verdict report")
 	traceFrom := fs.Int("trace-from", 0, "first round the -trace timeline renders (0 = start)")
 	traceTo := fs.Int("trace-to", 0, "last round the -trace timeline renders (0 = end)")
-	metricsFile := fs.String("metrics", "", "write the telemetry snapshot (counters/histograms) to this file")
-	eventsFile := fs.String("events", "", "write the structured JSONL event stream to this file")
+	tel := cli.Register(fs, cli.Spec{
+		Metrics: "write the telemetry snapshot (counters/histograms) to this file",
+		Events:  "write the structured JSONL event stream to this file",
+	})
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -99,15 +102,14 @@ func run(args []string) error {
 	in := superimpose.SeededInputs(*seed, 1000)
 	sigma := superimpose.RepeatedConsensus{FinalRound: pi.FinalRound(), Inputs: in}
 
+	defer tel.Close(&err)
+	if err := tel.Open(); err != nil {
+		return err
+	}
+	sink := tel.Sink()
 	reg := obs.NewRegistry()
-	var sink obs.Sink
-	if *eventsFile != "" {
-		ef, err := os.Create(*eventsFile)
-		if err != nil {
-			return err
-		}
-		defer ef.Close()
-		sink = obs.NewJSONL(ef)
+	if err := tel.Start(os.Stdout, cli.Sources{Metrics: reg.Snapshot}); err != nil {
+		return err
 	}
 
 	h := history.New(*n, adv.Faulty())
@@ -173,20 +175,7 @@ func run(args []string) error {
 	if sink != nil {
 		trace.Events(sink, h, sigma, pi.FinalRound())
 	}
-	if *metricsFile != "" {
-		mf, err := os.Create(*metricsFile)
-		if err != nil {
-			return err
-		}
-		if _, err := reg.WriteTo(mf); err != nil {
-			mf.Close()
-			return err
-		}
-		if err := mf.Close(); err != nil {
-			return err
-		}
-	}
-	err := core.CheckFTSS(h, sigma, pi.FinalRound())
+	err = core.CheckFTSS(h, sigma, pi.FinalRound())
 	if err == nil {
 		fmt.Printf("Definition 2.4 verdict: Σ⁺ ftss-SOLVED with stabilization time %d\n", pi.FinalRound())
 	} else {

@@ -1,11 +1,11 @@
-// Package admin is the live telemetry plane: an opt-in HTTP endpoint
-// every long-running binary (ftss-store, ftss-node, ftss-cluster) can
-// mount with -admin, serving
+// Package admin is the live telemetry plane: the one opt-in HTTP
+// listener a binary mounts with -admin, serving
 //
-//	/metrics  — the byte-stable registry snapshot, text/plain
-//	/healthz  — a liveness summary: 200 when healthy, 503 when not
-//	/events   — the recent JSONL event backlog; ?follow=1 keeps the
-//	            connection open and streams new events as they land
+//	/metrics       — the byte-stable registry snapshot, text/plain
+//	/healthz       — a liveness summary: 200 when healthy, 503 when not
+//	/events        — the recent JSONL event backlog; ?follow=1 keeps the
+//	                 connection open and streams new events as they land
+//	/debug/pprof/  — the net/http/pprof profiles, always mounted
 //
 // The plane owns no state of its own: every endpoint renders through a
 // callback the binary supplies, so what /metrics serves mid-run is the
@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"sync"
 )
 
@@ -34,9 +35,15 @@ type Plane struct {
 	Tail *Tail
 }
 
-// Handler mounts the plane's endpoints on a fresh mux.
+// Handler mounts the plane's endpoints and the pprof profiles on a
+// fresh mux.
 func (p Plane) Handler() http.Handler {
 	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	if p.Metrics != nil {
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")

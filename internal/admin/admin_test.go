@@ -69,6 +69,11 @@ func TestPlaneEndpoints(t *testing.T) {
 		t.Fatalf("/events backlog = %q", body)
 	}
 
+	// Profiles share the listener with the plane.
+	if code, body := get(t, base+"/debug/pprof/cmdline"); code != 200 || len(body) == 0 {
+		t.Fatalf("/debug/pprof/cmdline = %d %q", code, body)
+	}
+
 	if code, _ := get(t, base+"/nope"); code != 404 {
 		t.Fatalf("unknown path code = %d", code)
 	}

@@ -57,8 +57,9 @@ type NodeConfig struct {
 	// ChaosEvents receives the deterministic schedule stream
 	// (WriteChaosSchedule); nil = none.
 	ChaosEvents obs.Sink
-	// Metrics receives the final registry snapshot on exit (nil = none).
-	Metrics io.Writer
+	// Metrics is the registry the node records into, so the caller can
+	// snapshot it after RunNode returns (nil = a private one).
+	Metrics *obs.Registry
 	// AdminAddr, when non-empty, serves the live admin plane on that
 	// address while the node runs: /metrics is the registry snapshot,
 	// /healthz the runtime health plus decision state (503 until the
@@ -97,9 +98,9 @@ func Inputs(seed int64, n int) []ctcons.Value {
 }
 
 // RunNode boots one node and blocks until the schedule's horizon passes
-// or stop fires (graceful shutdown: the final snapshot is still written
-// and sinks still see every event emitted so far). Progress and the
-// final health/transport report go to w.
+// or stop fires (graceful shutdown: the final transport stats still
+// land in Metrics and sinks still see every event emitted so far).
+// Progress and the final health/transport report go to w.
 func RunNode(cfg NodeConfig, stop <-chan struct{}, w io.Writer) error {
 	cfg = cfg.withDefaults()
 	if cfg.N < 3 {
@@ -124,7 +125,10 @@ func RunNode(cfg NodeConfig, stop <-chan struct{}, w io.Writer) error {
 		tail = admin.NewTail(0)
 		sink = obs.Tee(sink, obs.NewJSONL(tail))
 	}
-	reg := obs.NewRegistry()
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
 	ins := live.NewInstruments(reg, "node", sink)
 
 	hp := ctcons.NewConstructiveProc(cfg.ID, cfg.N, Inputs(cfg.Seed, cfg.N)[cfg.ID],
@@ -240,11 +244,6 @@ poll:
 		fmt.Fprintf(w, "node %d: decided %d@%d\n", int(cfg.ID), v, r)
 	} else {
 		fmt.Fprintf(w, "node %d: no decision\n", int(cfg.ID))
-	}
-	if cfg.Metrics != nil {
-		if _, err := reg.WriteTo(cfg.Metrics); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -127,7 +127,7 @@ func TestThreeNodeLoopbackRun(t *testing.T) {
 func TestRunNodeGracefulStop(t *testing.T) {
 	addrs := freeAddrs(t, 3)
 	var buf bytes.Buffer
-	var metrics bytes.Buffer
+	metrics := obs.NewRegistry()
 	stop := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
@@ -139,7 +139,7 @@ func TestRunNodeGracefulStop(t *testing.T) {
 			QuietLen:  time.Hour,
 			PollEvery: 5 * time.Millisecond,
 			Events:    obs.NewJSONL(&buf),
-			Metrics:   &metrics,
+			Metrics:   metrics,
 		}, stop, io.Discard)
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -159,7 +159,7 @@ func TestRunNodeGracefulStop(t *testing.T) {
 	if !bytes.Contains(buf.Bytes(), []byte(`"stopped":1`)) {
 		t.Errorf("node_done does not record the early stop:\n%s", out)
 	}
-	if metrics.Len() == 0 {
+	if !bytes.Contains(metrics.Snapshot(), []byte("counter node.")) {
 		t.Error("no final metrics snapshot written")
 	}
 }
